@@ -103,12 +103,12 @@ const SLAB_ALIGN: usize = 64;
 /// `Vec` only guarantees the allocation is aligned to the element type,
 /// so a slab's first cache line may be shared with the allocator's
 /// neighbouring data — false sharing the sharded-write mode exists to
-/// avoid. Rather than reach for `unsafe` raw allocation (this crate has
-/// none and keeps it that way), we over-allocate by one cache line of
-/// elements and compute, once, the element offset that lands index 0 on
-/// a 64-byte boundary. Accessors add the constant offset; LLVM folds it
-/// into the addressing mode, so the aligned slab costs nothing per
-/// access.
+/// avoid. Rather than reach for `unsafe` raw allocation (the crate
+/// denies `unsafe`; its one exception is the sampler's prefetch hint),
+/// we over-allocate by one cache line of elements and compute, once,
+/// the element offset that lands index 0 on a 64-byte boundary.
+/// Accessors add the constant offset; LLVM folds it into the addressing
+/// mode, so the aligned slab costs nothing per access.
 struct AlignedSlab<C> {
     buf: Vec<C>,
     off: usize,

@@ -10,11 +10,14 @@
 //!
 //! * each thread owns a Xoshiro256+ stream placed 2¹²⁸ draws apart,
 //! * steps are processed in *term blocks* (`LayoutConfig::term_block`):
-//!   a thread samples a block of terms, then applies it through one
-//!   monomorphized straight-line pass
-//!   ([`CoordStore::apply_block`]) — the block hoists the layout ×
-//!   precision dispatch out of the per-term path and amortizes sampler
-//!   entry, mirroring the paper's batched term updates (Sec. V-B),
+//!   a thread samples a block of terms with
+//!   [`PairSampler::sample_block`] — which draws 64 terms at a time,
+//!   prefetching their packed step records, before reading any of them
+//!   — then applies the block through one monomorphized straight-line
+//!   pass ([`CoordStore::apply_block`]). The block hoists the layout ×
+//!   precision dispatch out of the per-term path and keeps many record
+//!   loads in flight, mirroring the paper's batched term updates
+//!   (Sec. V-B),
 //! * coordinate updates are relaxed-atomic read-modify-writes with **no**
 //!   synchronization (Hogwild!), racing exactly as the original does,
 //! * the shared [`PairSampler`] and [`LeanGraph`] are read-only.

@@ -20,6 +20,10 @@
 //! The GPU-simulator engines (crate `gpu-sim`) reuse [`sampler`],
 //! [`schedule`] and [`step`] so all engines optimize the identical
 //! objective.
+//!
+//! The crate denies `unsafe` code; the one exception is the sampler's
+//! cache prefetch hint, confined to a single helper in [`sampler`].
+#![deny(unsafe_code)]
 
 pub mod atomicf;
 pub mod batch;

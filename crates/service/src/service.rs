@@ -1937,6 +1937,9 @@ mod tests {
         for i in 0..4 {
             let mut spec = quick_spec("cpu", small_gfa(91 + i)).priority(Priority::Bulk);
             spec.client = Some("bulk-bot".into());
+            // Long enough that the race described below fits at most
+            // one bulk job even with an optimized engine.
+            spec.config.iter_max = 40;
             bulk_ids.push(svc.submit_spec(spec).unwrap().id);
         }
         let mut inter = quick_spec("cpu", small_gfa(99)).priority(Priority::Interactive);

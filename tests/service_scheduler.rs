@@ -46,12 +46,12 @@ fn interactive_job_overtakes_a_bulk_flood_of_fifty() {
     let gfa = small_gfa(1);
     let bulk_ids: Vec<u64> = (0..50)
         .map(|i| {
-            let mut spec = spec_for("cpu", &gfa, 1000 + i, 4).priority(Priority::Bulk);
+            let mut spec = spec_for("cpu", &gfa, 1000 + i, 40).priority(Priority::Bulk);
             spec.client = Some("bulk-bot".into());
             svc.submit_spec(spec).unwrap().id
         })
         .collect();
-    let mut interactive = spec_for("cpu", &gfa, 9999, 4).priority(Priority::Interactive);
+    let mut interactive = spec_for("cpu", &gfa, 9999, 40).priority(Priority::Interactive);
     interactive.client = Some("human".into());
     let ticket = svc.submit_spec(interactive).unwrap();
     assert!(!ticket.cached);
@@ -97,7 +97,7 @@ fn clients_share_one_band_fairly_under_a_dogpile() {
     let mut jobs: Vec<(usize, u64)> = Vec::new(); // (client idx, job id)
     for (ci, client) in clients.iter().enumerate() {
         for j in 0..6 {
-            let mut spec = spec_for("cpu", &gfa, 100 * (ci as u64 + 1) + j, 60);
+            let mut spec = spec_for("cpu", &gfa, 100 * (ci as u64 + 1) + j, 600);
             spec.client = Some(client.to_string());
             jobs.push((ci, svc.submit_spec(spec).unwrap().id));
         }
@@ -106,7 +106,7 @@ fn clients_share_one_band_fairly_under_a_dogpile() {
     assert!(svc.stats().active_clients >= 3);
     svc.wait(blocker.id, Duration::from_secs(300)).unwrap();
 
-    // Record completion order by polling; jobs are slow enough (60
+    // Record completion order by polling; jobs are slow enough (600
     // iterations) that 1 ms polling rarely batches more than one
     // completion, and the prefix assertion tolerates batching anyway.
     let mut order: Vec<usize> = Vec::new();
@@ -146,6 +146,14 @@ fn no_client_exceeds_its_fair_share_of_workers_by_more_than_one() {
     let fair_share = workers / clients.len(); // 1
     let svc = service(workers);
     let gfa = small_gfa(3);
+    // Hold the workers so the clients' jobs queue up together: with
+    // idle workers, client a's first jobs are legitimately popped onto
+    // every worker before b and c have submitted anything, and the
+    // bound below would be checked before the contention it is about.
+    for seed in 0..workers as u64 {
+        svc.submit_spec(spec_for("cpu", &gfa, 7 + seed, 1200))
+            .unwrap();
+    }
     let mut jobs: Vec<(usize, u64)> = Vec::new();
     for (ci, client) in clients.iter().enumerate() {
         for j in 0..6 {
