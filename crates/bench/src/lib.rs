@@ -18,7 +18,10 @@
 //! * per-record run statistics over `--repeat` timings — `wall_s_mean`,
 //!   `wall_s_stddev`, `cv`, `updates_per_sec_mean` — alongside the
 //!   historical best-of `wall_s`/`updates_per_sec`,
-//! * `simd`/`write_shard` booleans recording the resolved kernel shape,
+//! * a `simd` boolean recording the resolved kernel shape (the lane
+//!   kernel runs exactly when a row has more than one thread); documents
+//!   from before the sharded-write mode was removed also carry a
+//!   `write_shard` boolean, which the validator no longer requires,
 //! * multi-thread rows from `--threads-sweep`, plus a top-level
 //!   `host.cores` so scaling rows are interpretable,
 //! * optional `anchor_ratio` per record from `--ab` mode: each row's
@@ -29,7 +32,7 @@
 //!   drift (VM performance regimes, thermal state) cancel between a
 //!   baseline recorded yesterday and a candidate run today.
 
-use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision, Toggle};
+use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision};
 use pangraph::lean::LeanGraph;
 use workloads::{generate, PangenomeSpec};
 
@@ -50,10 +53,6 @@ pub struct BenchOptions {
     /// Thread counts to sweep; each produces its own headline rows.
     /// Empty ⇒ just `threads`.
     pub threads_sweep: Vec<usize>,
-    /// Sharded-write mode for cpu rows (auto ⇒ on at ≥ 4 threads).
-    pub write_shard: Toggle,
-    /// SIMD apply kernel for cpu rows (auto ⇒ on for multithreaded rows).
-    pub simd: Toggle,
     /// Schedule length per run.
     pub iters: u32,
     /// Timed repetitions per configuration; the document reports both
@@ -76,8 +75,6 @@ impl Default for BenchOptions {
             preset: "medium".into(),
             threads: 1,
             threads_sweep: Vec::new(),
-            write_shard: Toggle::Auto,
-            simd: Toggle::Auto,
             iters: 15,
             repeat: 2,
             ab: false,
@@ -104,10 +101,8 @@ pub struct BenchRecord {
     pub batch: usize,
     /// Iterations run.
     pub iters: u32,
-    /// Resolved SIMD-kernel state of this row.
+    /// Whether this row ran the lane (SIMD) kernel.
     pub simd: bool,
-    /// Resolved sharded-write state of this row.
-    pub write_shard: bool,
     /// Terms actually applied.
     pub terms_applied: u64,
     /// Wall seconds of the best repetition.
@@ -224,18 +219,12 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
         threads,
         precision,
         data_layout,
-        simd: opts.simd,
-        write_shard: opts.write_shard,
         seed: 0xBE9C_5EED,
         ..LayoutConfig::default()
     };
     // The `--ab` anchor: the one configuration every committed baseline
-    // carries (cpu / f64 / aos / 1 thread, scalar kernel, unsharded).
-    let anchor_engine = CpuEngine::new(LayoutConfig {
-        simd: Toggle::Off,
-        write_shard: Toggle::Off,
-        ..base_cfg(Precision::F64, DataLayout::CacheFriendlyAos, 1)
-    });
+    // carries (cpu / f64 / aos / 1 thread, hence the scalar kernel).
+    let anchor_engine = CpuEngine::new(base_cfg(Precision::F64, DataLayout::CacheFriendlyAos, 1));
 
     // Time one runner `repeat` times; in `--ab` mode alternate with
     // anchor runs so candidate and anchor sample the same machine
@@ -318,7 +307,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
                     batch: 0,
                     iters,
                     simd: cfg.resolved_simd(),
-                    write_shard: cfg.resolved_write_shard(),
                     terms_applied: terms,
                     wall_s: 0.0,
                     updates_per_sec: 0.0,
@@ -351,7 +339,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
                 batch: batch_size,
                 iters,
                 simd: false,
-                write_shard: false,
                 terms_applied: terms,
                 wall_s: 0.0,
                 updates_per_sec: 0.0,
@@ -424,7 +411,7 @@ pub fn to_json(report: &BenchReport) -> String {
         out.push_str(&format!(
             "    {{\"engine\": \"{}\", \"precision\": \"{}\", \"layout\": \"{}\", \
              \"threads\": {}, \"term_block\": {}, \"batch\": {}, \"iters\": {}, \
-             \"simd\": {}, \"write_shard\": {}, \
+             \"simd\": {}, \
              \"terms_applied\": {}, \"wall_s\": {}, \"updates_per_sec\": {}, \
              \"wall_s_mean\": {}, \"wall_s_stddev\": {}, \"cv\": {}, \
              \"updates_per_sec_mean\": {}, \"anchor_ratio\": {}, \
@@ -437,7 +424,6 @@ pub fn to_json(report: &BenchReport) -> String {
             r.batch,
             r.iters,
             r.simd,
-            r.write_shard,
             r.terms_applied,
             json_f64(r.wall_s),
             json_f64(r.updates_per_sec),
@@ -526,7 +512,6 @@ pub fn validate_json(text: &str) -> Result<(), String> {
             "\"cv\":",
             "\"updates_per_sec_mean\":",
             "\"simd\":",
-            "\"write_shard\":",
         ]);
     }
     for (i, rec) in records.iter().enumerate() {
@@ -808,9 +793,10 @@ mod tests {
         let counts: Vec<usize> = report.results.iter().map(|r| r.threads).collect();
         assert_eq!(counts, vec![1, 1, 2, 2], "two headline rows per count");
         assert!(report.host_cores >= 1);
-        // Multithreaded rows resolve the auto toggles.
-        let row2 = report.results.iter().find(|r| r.threads == 2).unwrap();
-        assert!(row2.simd, "simd auto-on for multithread rows");
+        // The lane kernel runs exactly on the multithreaded rows.
+        for r in &report.results {
+            assert_eq!(r.simd, r.threads > 1, "{}t row", r.threads);
+        }
         let json = to_json(&report);
         validate_json(&json).unwrap();
         assert!(json.contains("\"host\": {\"cores\":"));

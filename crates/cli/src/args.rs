@@ -65,8 +65,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--from",
     "--term-block",
     "--threads-sweep",
-    "--simd",
-    "--write-shard",
     "--baseline",
     "--repeat",
     "--validate",
@@ -312,13 +310,16 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_sharding_flags_parse() {
-        let p = parse("--threads-sweep 1,2,4 --simd on --write-shard off --ab");
+    fn threads_sweep_and_ab_flags_parse() {
+        let p = parse("--threads-sweep 1,2,4 --ab");
         p.validate().unwrap();
         assert_eq!(p.value("--threads-sweep").unwrap(), "1,2,4");
-        assert_eq!(p.value("--simd").unwrap(), "on");
-        assert_eq!(p.value("--write-shard").unwrap(), "off");
         assert!(p.has("--ab"));
+        // The kernel shape follows the thread count; its old override
+        // flags are gone, so they fail like any other unknown flag.
+        for retired in ["--simd on", "--write-shard off"] {
+            assert!(parse(retired).validate().is_err(), "{retired}");
+        }
     }
 
     #[test]

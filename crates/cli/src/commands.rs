@@ -6,7 +6,7 @@ use gpu_sim::{GpuEngine, GpuSpec, KernelConfig};
 use layout_core::batch::BatchEngine;
 use layout_core::coords::{DataLayout, Precision};
 use layout_core::cpu::CpuEngine;
-use layout_core::{LayoutConfig, Toggle};
+use layout_core::LayoutConfig;
 use pangraph::lean::LeanGraph;
 use pangraph::stats::GraphStats;
 use pangraph::{parse_gfa_reader, write_gfa, VariationGraph};
@@ -21,14 +21,6 @@ use std::sync::Arc;
 use workloads::hprc_catalog;
 
 type CmdResult = Result<(), String>;
-
-/// Parse an `auto|on|off` toggle flag (absent ⇒ auto).
-fn parse_toggle(p: &ArgParser, flag: &str) -> Result<Toggle, String> {
-    match p.value(flag) {
-        None => Ok(Toggle::Auto),
-        Some(v) => Toggle::parse_name(v).ok_or_else(|| format!("bad {flag} {v:?} (auto, on, off)")),
-    }
-}
 
 /// Per-subcommand usage text for `pgl <cmd> --help`.
 pub fn usage(cmd: &str) -> Option<&'static str> {
@@ -46,8 +38,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         "layout" => {
             "pgl layout <in.gfa> -o <out.lay> [--gpu | --gpu-a100 | --batch <size>]\n\
              \u{20}          [--threads N] [--iters N] [--seed N] [--soa] [--f32]\n\
-             \u{20}          [--term-block N] [--simd auto|on|off]\n\
-             \u{20}          [--write-shard auto|on|off]\n\
+             \u{20}          [--term-block N]\n\
              Run path-guided SGD layout with the chosen engine.\n\
              --f32 stores and computes coordinates in single precision (the paper's\n\
              GPU coordinate format; half the memory traffic, stress parity within\n\
@@ -55,11 +46,9 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              cache-friendly AoS default. --term-block N sets how many terms each\n\
              worker samples before applying them in one batched pass (default 256;\n\
              purely a performance knob — single-threaded results are bit-identical\n\
-             across block sizes). --simd selects the lane-vectorized apply kernel\n\
-             (auto: on for multithreaded runs; single-thread runs keep the scalar\n\
-             loop, which is bit-stable and measured faster). --write-shard gives each thread a node\n\
-             range it alone writes, exchanging cross-range terms through spill\n\
-             buffers (auto: on at >= 4 threads; off = pure Hogwild)."
+             across block sizes). Multithreaded runs apply terms through the\n\
+             lane-vectorized kernel; single-thread runs keep the per-term loop,\n\
+             which is bit-stable and measured faster there."
         }
         "stress" => {
             "pgl stress <in.gfa> <in.lay> [--exact] [--samples-per-node N] [--seed N]\n\
@@ -166,7 +155,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         "bench" => {
             "pgl bench [-o <out.json>] [--preset small|medium|large] [--threads N]\n\
              \u{20}         [--threads-sweep 1,2,4] [--iters N] [--repeat N] [--quick]\n\
-             \u{20}         [--simd auto|on|off] [--write-shard auto|on|off] [--ab]\n\
+             \u{20}         [--ab]\n\
              \u{20}         [--baseline UPDATES_PER_SEC] [--validate <bench.json>]\n\
              \u{20}         [--guard <bench.json>] [--tolerance F]\n\
              Reproducible SGD-throughput harness over the bundled workload presets.\n\
@@ -175,8 +164,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              document (committed as BENCH_<n>.json per perf PR, so the repository\n\
              records its own performance trajectory). --threads-sweep repeats the\n\
              headline rows at each listed thread count (the multi-core scaling\n\
-             trajectory; host core count is recorded in the document). --simd and\n\
-             --write-shard force the kernel shape; auto follows the engine defaults.\n\
+             trajectory; host core count is recorded in the document).\n\
              --quick is the CI smoke mode: a tiny graph, 3 iterations, only the\n\
              headline rows. --repeat N runs each configuration N times; records\n\
              carry both the best repetition and mean/stddev/cv. --ab interleaves\n\
@@ -206,8 +194,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         "submit" => {
             "pgl submit <in.gfa> [--addr HOST] [--port N] [--engine E] [--iters N]\n\
              \u{20}          [--threads N] [--seed N] [--batch N] [--soa] [--f32]\n\
-             \u{20}          [--term-block N] [--simd auto|on|off]\n\
-             \u{20}          [--write-shard auto|on|off]\n\
+             \u{20}          [--term-block N]\n\
              \u{20}          [--priority interactive|normal|bulk] [--client KEY]\n\
              \u{20}          [--ttl-ms N] [--watch]\n\
              Submit one layout job to a running `pgl serve` (POST /v1/jobs) and print\n\
@@ -322,8 +309,6 @@ pub fn layout(p: ArgParser) -> CmdResult {
             Precision::F64
         },
         term_block: p.parse_or("--term-block", LayoutConfig::default().term_block)?,
-        simd: parse_toggle(&p, "--simd")?,
-        write_shard: parse_toggle(&p, "--write-shard")?,
         ..LayoutConfig::default()
     };
 
@@ -638,11 +623,6 @@ pub fn submit(p: ArgParser) -> CmdResult {
     if let Some(v) = p.value("--term-block") {
         query.push(format!("term_block={}", encode_query(v)));
     }
-    for (flag, param) in [("--simd", "simd"), ("--write-shard", "write_shard")] {
-        if let Some(v) = p.value(flag) {
-            query.push(format!("{param}={}", encode_query(v)));
-        }
-    }
     if p.has("--soa") {
         query.push("soa=1".into());
     }
@@ -837,8 +817,6 @@ pub fn bench(p: ArgParser) -> CmdResult {
         preset: p.value("--preset").unwrap_or("medium").to_string(),
         threads: p.parse_or("--threads", 1usize)?,
         threads_sweep,
-        write_shard: parse_toggle(&p, "--write-shard")?,
-        simd: parse_toggle(&p, "--simd")?,
         iters: p.parse_or("--iters", 15u32)?,
         repeat: p.parse_or("--repeat", 2usize)?,
         ab: p.has("--ab"),

@@ -16,16 +16,15 @@
 //! racy accumulate — with no per-access branching, which is what lets
 //! the compiler keep the loop tight. [`CoordStore::apply_block_simd`]
 //! is the same loop restructured as gather → lane-wide delta kernel →
-//! scatter (see [`crate::simd`]); [`CoordStore::apply_block_sharded`]
-//! routes the scatter through per-owner spill buffers for the
-//! sharded-write Hogwild mode.
+//! scatter (see [`crate::simd`]). Both kernels Hogwild-add every delta
+//! straight into the shared slab.
 //!
 //! **Bounds-check policy:** the hot loops index slabs with ordinary
 //! checked indexing, never `get_unchecked` — measured on this kernel,
 //! unchecked indexing was 10–18% *slower* (it defeats LLVM's alias and
 //! vectorization reasoning), while the checked form's bounds tests are
-//! hoisted. Invariants that indexing cannot express (lane widths,
-//! shard-owner ranges) are `debug_assert!`s.
+//! hoisted. Invariants that indexing cannot express (such as the cell
+//! size dividing the slab alignment) are `debug_assert!`s.
 
 use crate::sampler::Term;
 use crate::scalar::LayoutScalar;
@@ -102,10 +101,16 @@ const SLAB_ALIGN: usize = 64;
 ///
 /// `Vec` only guarantees the allocation is aligned to the element type,
 /// so a slab's first cache line may be shared with the allocator's
-/// neighbouring data — false sharing the sharded-write mode exists to
-/// avoid. Rather than reach for `unsafe` raw allocation (the crate
-/// denies `unsafe`; its one exception is the sampler's prefetch hint),
-/// we over-allocate by one cache line of elements and compute, once,
+/// neighbouring data. Other threads may write that data (term buffers,
+/// counters), so every Hogwild write to the first records would also
+/// invalidate their line — false sharing with memory that has nothing
+/// to do with the layout. Aligning also fixes which records straddle a
+/// line boundary, so a slab's cache-line footprint does not change from
+/// run to run with the allocator's placement.
+///
+/// Rather than reach for `unsafe` raw allocation (the crate denies
+/// `unsafe`; its one exception is the sampler's prefetch hint), we
+/// over-allocate by one cache line of elements and compute, once,
 /// the element offset that lands index 0 on a 64-byte boundary.
 /// Accessors add the constant offset; LLVM folds it into the addressing
 /// mode, so the aligned slab costs nothing per access.
@@ -233,83 +238,19 @@ fn hogwild_add_on<T: LayoutScalar, S: SlabOps<T>>(slab: &S, node: u32, end: bool
     slab.store(node, end, x + dx, y + dy);
 }
 
-/// One half of an out-of-shard term, addressed to the owner of `node`.
-///
-/// The spill carries the *term*, not a precomputed delta: the owner
-/// recomputes the update from fresh coordinates when it drains
-/// ([`CoordStore::apply_spills`]). Spilling deltas instead diverges —
-/// under Zipf sampling a thread draws the same popular pair many times
-/// per block, and m identical halfway-corrections computed from one
-/// stale read then land as an m/2-fold overshoot. Recomputing at drain
-/// time keeps the update a contraction, at the cost of re-running the
-/// delta kernel for cross-shard terms.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpillEntry {
-    /// Target node (owned by the destination shard).
-    pub node: u32,
-    /// Target endpoint (start/end).
-    pub end: bool,
-    /// The term's other node.
-    pub other: u32,
-    /// The other node's endpoint.
-    pub other_end: bool,
-    /// The term's reference distance.
-    pub d_ref: f64,
-}
-
-/// Per-destination spill buffers for one worker thread in sharded-write
-/// mode: `bufs[owner]` collects the deltas this thread computed for
-/// nodes owned by `owner`. Drained at block boundaries by the engine.
-#[derive(Debug, Default)]
-pub struct ShardSpills {
-    /// One buffer per destination shard (including our own, unused).
-    pub bufs: Vec<Vec<SpillEntry>>,
-}
-
-impl ShardSpills {
-    /// Empty buffers for `threads` destination shards.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            bufs: (0..threads).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
 /// The scalar hot loop: apply a sampled term block with fully inlined,
-/// branch-free accessors, routing each endpoint delta through `scatter`
-/// (direct Hogwild add, or shard routing). `scatter` receives the term
-/// and which side the delta belongs to (`first` = the `i` side), so a
-/// routing scatter can reconstruct the term half it spills. Called once
-/// per block, so the layout × precision dispatch cost is amortized over
-/// the block.
+/// branch-free accessors, Hogwild-adding both endpoint deltas of each
+/// term before loading the next. Called once per block, so the layout ×
+/// precision dispatch cost is amortized over the block.
 #[inline]
-fn apply_block_scalar<T, S>(
-    slab: &S,
-    terms: &[Term],
-    eta: T,
-    scatter: &mut impl FnMut(&S, &Term, bool, T, T),
-) where
-    T: LayoutScalar,
-    S: SlabOps<T>,
-{
+fn apply_block_scalar<T: LayoutScalar, S: SlabOps<T>>(slab: &S, terms: &[Term], eta: T) {
     for t in terms {
         let vi = slab.load(t.node_i, t.end_i);
         let vj = slab.load(t.node_j, t.end_j);
         let (di, dj) = term_deltas_t(vi, vj, T::from_f64(t.d_ref), eta);
-        scatter(slab, t, true, di.0, di.1);
-        scatter(slab, t, false, dj.0, dj.1);
+        hogwild_add_on(slab, t.node_i, t.end_i, di.0, di.1);
+        hogwild_add_on(slab, t.node_j, t.end_j, dj.0, dj.1);
     }
-}
-
-/// The plain scatter: Hogwild-add the delta to its endpoint.
-#[inline]
-fn direct_scatter<T: LayoutScalar, S: SlabOps<T>>(slab: &S, t: &Term, first: bool, dx: T, dy: T) {
-    let (node, end) = if first {
-        (t.node_i, t.end_i)
-    } else {
-        (t.node_j, t.end_j)
-    };
-    hogwild_add_on(slab, node, end, dx, dy);
 }
 
 /// The vector hot loop: gather `W` terms' endpoints into lane arrays,
@@ -322,12 +263,8 @@ fn direct_scatter<T: LayoutScalar, S: SlabOps<T>>(slab: &S, t: &Term, first: boo
 /// benign race Hogwild already tolerates between threads. The remainder
 /// tail runs through the scalar loop.
 #[inline]
-fn apply_block_vec<T, S, const W: usize>(
-    slab: &S,
-    terms: &[Term],
-    eta: T,
-    scatter: &mut impl FnMut(&S, &Term, bool, T, T),
-) where
+fn apply_block_vec<T, S, const W: usize>(slab: &S, terms: &[Term], eta: T)
+where
     T: LayoutScalar,
     S: SlabOps<T>,
 {
@@ -351,33 +288,11 @@ fn apply_block_vec<T, S, const W: usize>(
         let (rx, ry) =
             term_deltas_lanes(Lanes(xi), Lanes(yi), Lanes(xj), Lanes(yj), Lanes(dr), etav);
         for (l, t) in g.iter().enumerate() {
-            scatter(slab, t, true, -rx.0[l], -ry.0[l]);
-            scatter(slab, t, false, rx.0[l], ry.0[l]);
+            hogwild_add_on(slab, t.node_i, t.end_i, -rx.0[l], -ry.0[l]);
+            hogwild_add_on(slab, t.node_j, t.end_j, rx.0[l], ry.0[l]);
         }
     }
-    apply_block_scalar(slab, groups.remainder(), eta, scatter);
-}
-
-/// Pick the kernel shape: scalar loop, or the vector loop at the
-/// precision's natural lane width ([`F32_LANES`]/[`F64_LANES`]).
-#[inline]
-fn apply_block_dispatch<T, S>(
-    slab: &S,
-    terms: &[Term],
-    eta: T,
-    simd: bool,
-    scatter: &mut impl FnMut(&S, &Term, bool, T, T),
-) where
-    T: LayoutScalar,
-    S: SlabOps<T>,
-{
-    if !simd {
-        apply_block_scalar(slab, terms, eta, scatter);
-    } else if std::mem::size_of::<T>() == 4 {
-        apply_block_vec::<T, S, F32_LANES>(slab, terms, eta, scatter);
-    } else {
-        apply_block_vec::<T, S, F64_LANES>(slab, terms, eta, scatter);
-    }
+    apply_block_scalar(slab, groups.remainder(), eta);
 }
 
 /// The four slab instantiations (layout × precision).
@@ -491,7 +406,7 @@ impl CoordStore {
     pub fn apply_block(&self, terms: &[Term], eta: f64) {
         with_slab!(self, s, {
             let eta = from64(s, eta);
-            apply_block_scalar(s, terms, eta, &mut direct_scatter)
+            apply_block_scalar(s, terms, eta)
         })
     }
 
@@ -505,83 +420,11 @@ impl CoordStore {
     pub fn apply_block_simd(&self, terms: &[Term], eta: f64) {
         with_slab!(self, s, {
             let eta = from64(s, eta);
-            apply_block_dispatch(s, terms, eta, true, &mut direct_scatter)
-        })
-    }
-
-    /// Shard owner of `node` when coordinates are split across `threads`
-    /// contiguous write-ranges: `floor(node · threads / n_nodes)`.
-    #[inline]
-    pub fn shard_owner(&self, node: u32, threads: usize) -> usize {
-        debug_assert!(threads >= 1);
-        ((node as u64 * threads as u64) / (self.n_nodes as u64).max(1)) as usize
-    }
-
-    /// Sharded-write block application: deltas for nodes owned by `tid`
-    /// are Hogwild-added directly; term halves targeting foreign nodes
-    /// are pushed into `spills.bufs[owner]` for that owner to recompute
-    /// and apply at the next block boundary (see [`SpillEntry`] for why
-    /// terms, not deltas, travel). With `threads == 1` every node is
-    /// self-owned and this is bit-identical to the unsharded path.
-    /// `simd` selects the vector kernel as in
-    /// [`CoordStore::apply_block_simd`].
-    pub fn apply_block_sharded(
-        &self,
-        terms: &[Term],
-        eta: f64,
-        simd: bool,
-        tid: usize,
-        threads: usize,
-        spills: &mut ShardSpills,
-    ) {
-        debug_assert_eq!(spills.bufs.len(), threads);
-        let n = (self.n_nodes as u64).max(1);
-        let t64 = threads as u64;
-        with_slab!(self, s, {
-            let eta = from64(s, eta);
-            apply_block_dispatch(
-                s,
-                terms,
-                eta,
-                simd,
-                &mut |s: &_, t: &Term, first: bool, dx, dy| {
-                    let (node, end, other, other_end) = if first {
-                        (t.node_i, t.end_i, t.node_j, t.end_j)
-                    } else {
-                        (t.node_j, t.end_j, t.node_i, t.end_i)
-                    };
-                    let owner = ((node as u64 * t64) / n) as usize;
-                    if owner == tid {
-                        hogwild_add_on(s, node, end, dx, dy);
-                    } else {
-                        spills.bufs[owner].push(SpillEntry {
-                            node,
-                            end,
-                            other,
-                            other_end,
-                            d_ref: t.d_ref,
-                        });
-                    }
-                },
-            )
-        })
-    }
-
-    /// Recompute and apply a drained spill batch — the owner side of
-    /// sharded writes. Each entry's delta is recomputed from the
-    /// *current* coordinates of both endpoints (the kernel is symmetric
-    /// under endpoint swap, so the target-first argument order yields
-    /// the target's delta), then Hogwild-added to the target only; the
-    /// other half of the term is the sender's (or a third shard's)
-    /// responsibility.
-    pub fn apply_spills(&self, entries: &[SpillEntry], eta: f64) {
-        with_slab!(self, s, {
-            let eta = from64(s, eta);
-            for e in entries {
-                let vt = s.load(e.node, e.end);
-                let vo = s.load(e.other, e.other_end);
-                let (dt, _) = term_deltas_t(vt, vo, from64(s, e.d_ref), eta);
-                hogwild_add_on(s, e.node, e.end, dt.0, dt.1);
+            // Each precision runs at its natural lane width.
+            if std::mem::size_of_val(&eta) == 4 {
+                apply_block_vec::<_, _, F32_LANES>(s, terms, eta)
+            } else {
+                apply_block_vec::<_, _, F64_LANES>(s, terms, eta)
             }
         })
     }
@@ -872,79 +715,6 @@ mod tests {
                 assert_eq!(vec.to_layout(), sca.to_layout(), "{layout:?}/{precision:?}");
             }
         }
-    }
-
-    #[test]
-    fn shard_owner_ranges_are_contiguous_and_cover_all_nodes() {
-        let lean = big_lean();
-        let store = CoordStore::new(DataLayout::CacheFriendlyAos, &lean);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let mut prev = 0usize;
-            let mut seen = vec![0usize; threads];
-            for node in 0..store.node_count() as u32 {
-                let o = store.shard_owner(node, threads);
-                assert!(o < threads);
-                assert!(o >= prev, "owners must be monotone in node id");
-                prev = o;
-                seen[o] += 1;
-            }
-            assert!(seen.iter().all(|&c| c > 0), "every shard owns nodes");
-        }
-    }
-
-    #[test]
-    fn sharded_apply_plus_spill_drain_tracks_direct_apply() {
-        let lean = big_lean();
-        let terms = distinct_terms();
-        let threads = 3;
-        for precision in [Precision::F64, Precision::F32] {
-            let direct = CoordStore::with_precision(DataLayout::CacheFriendlyAos, precision, &lean);
-            let sharded =
-                CoordStore::with_precision(DataLayout::CacheFriendlyAos, precision, &lean);
-            seed_store(&direct);
-            seed_store(&sharded);
-            let eta = 0.2;
-            direct.apply_block(&terms, eta);
-            // One "thread" applies everything: its own nodes directly,
-            // the rest via spill buffers it then drains itself. Drained
-            // halves are *recomputed* against coordinates the direct
-            // adds already moved, so the result tracks the direct block
-            // to within the update magnitude, not bitwise.
-            let tid = 1;
-            let mut spills = ShardSpills::new(threads);
-            sharded.apply_block_sharded(&terms, eta, false, tid, threads, &mut spills);
-            let mut spilled = 0;
-            for buf in &spills.bufs {
-                spilled += buf.len();
-                sharded.apply_spills(buf, eta);
-            }
-            assert!(spilled > 0, "the term set must cross shard boundaries");
-            for node in 0..sharded.node_count() as u32 {
-                for end in [false, true] {
-                    let (xd, yd) = direct.load(node, end);
-                    let (xs, ys) = sharded.load(node, end);
-                    assert!(
-                        (xd - xs).abs() < 0.05 && (yd - ys).abs() < 0.05,
-                        "{precision:?} node {node}: direct ({xd},{yd}) vs sharded ({xs},{ys})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_single_thread_is_bit_identical_to_unsharded() {
-        let lean = big_lean();
-        let terms = distinct_terms();
-        let plain = CoordStore::new(DataLayout::CacheFriendlyAos, &lean);
-        let sharded = CoordStore::new(DataLayout::CacheFriendlyAos, &lean);
-        seed_store(&plain);
-        seed_store(&sharded);
-        plain.apply_block(&terms, 0.7);
-        let mut spills = ShardSpills::new(1);
-        sharded.apply_block_sharded(&terms, 0.7, false, 0, 1, &mut spills);
-        assert!(spills.bufs[0].is_empty(), "self-owned deltas never spill");
-        assert_eq!(plain.to_layout(), sharded.to_layout());
     }
 
     #[test]

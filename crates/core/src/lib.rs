@@ -40,7 +40,7 @@ pub mod sort1d;
 pub mod step;
 
 pub use batch::{BatchEngine, BatchReport, KernelOp};
-pub use config::{LayoutConfig, PairSelection, Toggle};
+pub use config::{LayoutConfig, PairSelection};
 pub use control::{EngineTelemetry, LayoutControl};
 pub use coords::{CoordStore, DataLayout, Precision};
 pub use cpu::{CpuEngine, RunReport};

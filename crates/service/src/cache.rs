@@ -80,15 +80,12 @@ fn config_fingerprint(cfg: &LayoutConfig) -> String {
         term_block,
         pair_selection,
         init_jitter,
-        simd,
-        write_shard,
     } = cfg;
     format!(
         "iter_max={iter_max};steps={steps_per_path_node};eps={eps};eta_max={eta_max:?};\
          cool={cooling_start};theta={zipf_theta};zmax={zipf_space_max};zq={zipf_quant};\
          threads={threads};seed={seed};layout={data_layout:?};prec={precision:?};\
-         block={term_block};pairs={pair_selection:?};jitter={init_jitter};\
-         simd={simd:?};shard={write_shard:?}"
+         block={term_block};pairs={pair_selection:?};jitter={init_jitter}"
     )
 }
 

@@ -117,10 +117,20 @@ mod tests {
     #[test]
     fn tokens_refill_over_time() {
         let l = RateLimiter::new(1000.0);
-        for _ in 0..1000 {
-            l.allow(ip(1));
+        // Spend until the first refusal. Tokens keep refilling while we
+        // spend, so the count is the 1000-token burst plus at most what
+        // refilled in the elapsed time.
+        let start = Instant::now();
+        let mut allowed = 0u64;
+        while l.allow(ip(1)) {
+            allowed += 1;
         }
-        assert!(!l.allow(ip(1)), "bucket drained");
+        let elapsed = start.elapsed().as_secs_f64();
+        assert!(allowed >= 1000, "the whole burst is allowed: {allowed}");
+        assert!(
+            allowed as f64 <= 1000.0 + 1000.0 * elapsed + 1.0,
+            "{allowed} allowed in {elapsed:.6}s exceeds burst plus refill"
+        );
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(l.allow(ip(1)), "~20 tokens refilled in 20ms at 1000/s");
     }

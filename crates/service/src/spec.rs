@@ -17,7 +17,7 @@
 //! ignored).
 
 use crate::job::GraphSpec;
-use layout_core::{DataLayout, LayoutConfig, Precision, Toggle};
+use layout_core::{DataLayout, LayoutConfig, Precision};
 use pangraph::store::ContentHash;
 use std::fmt;
 use std::sync::Arc;
@@ -151,7 +151,8 @@ impl JobSpec {
 
     /// Serialize the spec back to its `/v1` query-string form — the
     /// inverse of [`parse_job_spec`] over the wire-representable
-    /// surface ([`KNOWN_PARAMS`]). The cluster coordinator forwards
+    /// surface ([`KNOWN_PARAMS`] minus the retired, ignored ones). The
+    /// cluster coordinator forwards
     /// jobs to workers with exactly this string, so the typed spec *is*
     /// the wire format.
     ///
@@ -183,8 +184,6 @@ impl JobSpec {
         }
         push("precision", self.config.precision.label());
         push("term_block", &self.config.term_block.to_string());
-        push("simd", self.config.simd.label());
-        push("write_shard", self.config.write_shard.label());
         push("batch", &self.batch_size.to_string());
         push("priority", self.priority.as_str());
         if let Some(client) = &self.client {
@@ -309,6 +308,9 @@ pub(crate) const KNOWN_PARAMS: [&str; 14] = [
     "soa",
     "precision",
     "term_block",
+    // Retired kernel-shape knobs: accepted and ignored, so queries
+    // written before their removal (coordinator journals, forwards,
+    // client scripts) still parse. A later release rejects them.
     "simd",
     "write_shard",
     "graph",
@@ -384,20 +386,6 @@ pub fn parse_job_spec(
             param: "precision",
             value: v.to_string(),
             expected: "f32 | f64",
-        })?;
-    }
-    if let Some(v) = get("simd") {
-        config.simd = Toggle::parse_name(v).ok_or(SpecError::BadValue {
-            param: "simd",
-            value: v.to_string(),
-            expected: "auto | on | off",
-        })?;
-    }
-    if let Some(v) = get("write_shard") {
-        config.write_shard = Toggle::parse_name(v).ok_or(SpecError::BadValue {
-            param: "write_shard",
-            value: v.to_string(),
-            expected: "auto | on | off",
         })?;
     }
     parse_param!("term_block", config.term_block, "a non-negative integer");
@@ -496,8 +484,6 @@ mod tests {
         assert_eq!(spec.config.seed, 7);
         assert_eq!(spec.config.precision, Precision::F32);
         assert_eq!(spec.config.term_block, 64);
-        assert_eq!(spec.config.simd, Toggle::On);
-        assert_eq!(spec.config.write_shard, Toggle::Off);
         assert_eq!(spec.batch_size, 256);
         assert!(matches!(spec.graph, GraphSpec::Stored(h) if h == id));
         assert_eq!(spec.priority, Priority::Interactive);
@@ -529,6 +515,14 @@ mod tests {
             Priority::Normal,
             "legacy routes ignore typos"
         );
+        // Retired parameters are not typos: strict mode accepts and
+        // ignores them, whatever their value.
+        let retired = q(&[("simd", "on"), ("write_shard", "maybe")]);
+        let spec = parse_job_spec(&retired, Vec::new(), true).unwrap();
+        assert_eq!(
+            spec.to_query(),
+            parse_job_spec(&[], Vec::new(), true).unwrap().to_query()
+        );
     }
 
     #[test]
@@ -540,8 +534,6 @@ mod tests {
             ("ttl_ms", "-4"),
             ("batch", "x"),
             ("precision", "f16"),
-            ("simd", "yes"),
-            ("write_shard", "maybe"),
             ("term_block", "many"),
             ("term_block", "99999999999"),
         ] {
@@ -617,8 +609,6 @@ mod tests {
         spec.config.precision = Precision::F32;
         spec.config.data_layout = DataLayout::OriginalSoa;
         spec.config.term_block = 2048;
-        spec.config.simd = Toggle::On;
-        spec.config.write_shard = Toggle::Off;
         spec.batch_size = 512;
         spec.queue_ttl = Some(Duration::from_millis(2500));
         let back = reparse(&spec.to_query());
@@ -630,8 +620,6 @@ mod tests {
         assert_eq!(back.config.precision, Precision::F32);
         assert_eq!(back.config.data_layout, DataLayout::OriginalSoa);
         assert_eq!(back.config.term_block, 2048);
-        assert_eq!(back.config.simd, Toggle::On);
-        assert_eq!(back.config.write_shard, Toggle::Off);
         assert_eq!(back.batch_size, 512);
         assert_eq!(back.priority, Priority::Bulk);
         assert_eq!(back.client.as_deref(), Some("team a&b=c/…"));
@@ -646,6 +634,10 @@ mod tests {
         assert!(!q.contains("client="), "absent client stays absent");
         assert!(!q.contains("ttl_ms="), "absent TTL stays absent");
         assert!(!q.contains("soa"), "default layout emits no flag");
+        assert!(
+            !q.contains("simd") && !q.contains("write_shard"),
+            "retired parameters are never emitted"
+        );
         let back = reparse(&q);
         assert_eq!(back.engine, "cpu");
         assert_eq!(back.batch_size, spec.batch_size);
@@ -664,6 +656,17 @@ mod tests {
         spec.config.seed = 3;
         spec.queue_ttl = Some(Duration::from_millis(750));
         let back = JobSpec::from_query(&spec.to_query()).expect("journal form reparses");
+        // Journals written before the kernel-shape knobs were retired
+        // carry `simd=auto&write_shard=auto`; they replay to the same
+        // spec minus those fields.
+        let old_form = format!(
+            "engine=cpu&graph={}&iters=9&threads=0&seed=3&precision=f64&term_block=256\
+             &simd=auto&write_shard=auto&batch=1024&priority=interactive\
+             &client=alice%20%26%20bob&ttl_ms=750",
+            id.hex()
+        );
+        let old = JobSpec::from_query(&old_form).expect("older journal form reparses");
+        assert_eq!(old.to_query(), spec.to_query());
         assert!(matches!(back.graph, GraphSpec::Stored(h) if h == id));
         assert_eq!(back.config.iter_max, 9);
         assert_eq!(back.config.seed, 3);

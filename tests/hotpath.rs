@@ -4,7 +4,7 @@
 //! multi-threaded Hogwild) against the faithful f64 single-thread
 //! baseline on a bundled workload preset.
 
-use layout_core::{CpuEngine, LayoutConfig, Precision, Toggle};
+use layout_core::{CpuEngine, LayoutConfig, Precision};
 use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
 use pgmetrics::{sampled_path_stress, SamplingConfig};
@@ -20,9 +20,10 @@ fn preset_graph() -> LeanGraph {
 fn parity_graph() -> LeanGraph {
     // Table I's HLA-DRB1 preset at full scale: dense variant sites over
     // 12 haplotype paths. Its full 30-iteration schedule converges
-    // tightly (run-to-run sampled stress varies ~2%), which is what a
-    // 5% parity bar needs — the sparser MHC preset's stress estimator
-    // is heavy-tailed and seed-dominated at test scale.
+    // tightly — racing runs at one seed differ by under 1% in sampled
+    // stress — which is what a 5% parity bar needs; the sparser MHC
+    // preset's stress estimator is heavy-tailed and seed-dominated at
+    // test scale. Layout seeds still matter here: see `mean_stress`.
     LeanGraph::from_graph(&generate(&workloads::hla_drb1()))
 }
 
@@ -76,25 +77,27 @@ fn term_block_size_is_invisible_to_single_thread_results() {
     assert_eq!(a, b, "term block is purely a performance knob");
 }
 
-#[test]
-fn write_shard_toggle_is_invisible_to_single_thread_results() {
-    // At one thread every node is owned by the single shard, so the
-    // sharded write path must reduce to the direct path bit-for-bit —
-    // same sampling, same application order, no spills.
-    let lean = preset_graph();
-    for precision in [Precision::F64, Precision::F32] {
-        let mut off = cfg(1, precision);
-        off.write_shard = Toggle::Off;
-        off.iter_max = 5;
-        let mut on = off.clone();
-        on.write_shard = Toggle::On;
-        let a = CpuEngine::new(off).run(&lean).0;
-        let b = CpuEngine::new(on).run(&lean).0;
-        assert_eq!(
-            a, b,
-            "{precision:?}: write_shard must be a no-op at one thread"
-        );
-    }
+/// Sampled path stress of full-schedule layouts, averaged over a fixed
+/// set of layout seeds. One seed's layout is a single draw: across
+/// seeds even the deterministic 1-thread `f64` baseline spreads by ~6%
+/// on the parity graph, more than the parity bar, and a thread count
+/// changes which random streams the run draws. Averaging the same seeds
+/// on both sides compares configurations, not draws.
+fn mean_stress(lean: &LeanGraph, threads: usize, precision: Precision) -> f64 {
+    let seeds = [LayoutConfig::default().seed, 1, 2, 3, 4];
+    let total: f64 = seeds
+        .iter()
+        .map(|&seed| {
+            let cfg = LayoutConfig {
+                threads,
+                precision,
+                seed,
+                ..LayoutConfig::default()
+            };
+            stress(&CpuEngine::new(cfg).run(lean).0, lean)
+        })
+        .sum();
+    total / seeds.len() as f64
 }
 
 #[test]
@@ -105,47 +108,21 @@ fn fast_paths_reach_stress_parity_with_the_f64_single_thread_baseline() {
     // sampled path stress on a workload preset (HLA-DRB1, full
     // schedule).
     let lean = parity_graph();
-    let full = |threads, precision| LayoutConfig {
-        threads,
-        precision,
-        ..LayoutConfig::default()
-    };
-    let baseline = {
-        let layout = CpuEngine::new(full(1, Precision::F64)).run(&lean).0;
-        stress(&layout, &lean)
-    };
+    let baseline = mean_stress(&lean, 1, Precision::F64);
     assert!(baseline.is_finite() && baseline > 0.0);
-    let simd_1t_f64 = LayoutConfig {
-        simd: Toggle::On,
-        ..full(1, Precision::F64)
-    };
-    let sharded_4t = LayoutConfig {
-        write_shard: Toggle::On,
-        ..full(4, Precision::F64)
-    };
-    let pure_hogwild_4t = LayoutConfig {
-        write_shard: Toggle::Off,
-        ..full(4, Precision::F64)
-    };
-    for (label, config) in [
-        ("f32 single-thread", full(1, Precision::F32)),
-        (
-            "f64 four-thread (auto: simd + sharded)",
-            full(4, Precision::F64),
-        ),
-        (
-            "f32 four-thread (auto: simd + sharded)",
-            full(4, Precision::F32),
-        ),
-        ("f64 single-thread simd kernel", simd_1t_f64),
-        ("f64 four-thread sharded writes", sharded_4t),
-        ("f64 four-thread pure hogwild", pure_hogwild_4t),
+    // Every reachable fast configuration: f32 on the per-term loop at
+    // one thread, and both precisions on the lane kernel at 2 and 4.
+    for (threads, precision) in [
+        (1, Precision::F32),
+        (2, Precision::F64),
+        (2, Precision::F32),
+        (4, Precision::F64),
+        (4, Precision::F32),
     ] {
-        let layout = CpuEngine::new(config).run(&lean).0;
-        let s = stress(&layout, &lean);
+        let s = mean_stress(&lean, threads, precision);
         assert!(
             s <= baseline * 1.05,
-            "{label}: stress {s:.6} exceeds 105% of baseline {baseline:.6}"
+            "{precision:?} {threads}-thread: stress {s:.6} exceeds 105% of baseline {baseline:.6}"
         );
     }
 }
