@@ -49,14 +49,17 @@ pub fn request(
         None => {}
     }
     let mut stream = connect(addr, CONTROL_TIMEOUT)?;
-    let head = format!(
+    // Head and body in one write, so the body never waits on Nagle for
+    // the server's ACK of the head.
+    let mut wire = format!(
         "{method} {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",
         body.len()
-    );
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
+        .write_all(&wire)
         .map_err(|e| format!("send to {addr}: {e}"))?;
     let mut reader = BufReader::new(stream);
     let (status, headers) = read_head(&mut reader, addr)?;
@@ -148,6 +151,7 @@ fn connect(addr: &str, io_timeout: Duration) -> Result<TcpStream, String> {
             Ok(stream) => {
                 let _ = stream.set_read_timeout(Some(io_timeout));
                 let _ = stream.set_write_timeout(Some(io_timeout));
+                let _ = stream.set_nodelay(true);
                 return Ok(stream);
             }
             Err(e) => last_err = Some(e),

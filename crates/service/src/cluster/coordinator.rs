@@ -944,6 +944,9 @@ enum CoordRouted {
 fn handle_conn(stream: TcpStream, shared: &Arc<CoordShared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
+    // Responses and stream chunks each go out in one write, so Nagle
+    // has nothing to coalesce and would only delay them.
+    let _ = stream.set_nodelay(true);
     let peer = stream
         .peer_addr()
         .map(|a| a.ip().to_string())

@@ -508,16 +508,9 @@ fn reject_overloaded(stream: TcpStream, cfg: &HttpConfig) {
 
 fn write_503(mut stream: TcpStream, retry_after_secs: u32) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    let body = b"{\"error\":\"server overloaded; retry later\"}";
-    let head = format!(
-        "HTTP/1.1 503 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
-         Retry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n",
-        reason_phrase(503),
-        body.len(),
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
-    let _ = stream.flush();
+    let mut response = Response::error(503, "server overloaded; retry later");
+    response.retry_after = Some(retry_after_secs);
+    let _ = write_response(&mut stream, &response, false, &HttpConfig::default());
     // FIN our side, then briefly drain whatever request the client
     // already sent, so the kernel cannot RST the 503 away.
     let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -539,6 +532,10 @@ fn handle_connection(
     role: &Arc<crate::cluster::ClusterRole>,
 ) {
     let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
+    // Every response goes out in one write (see `write_response`), so
+    // Nagle buys nothing here; with it on, a keep-alive response that
+    // spans two segments would wait for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     // Rate limiting keys on the peer IP; an unreadable peer address
     // (vanishingly rare) shares one fallback bucket rather than
     // bypassing the limiter. The same identity is the default
@@ -735,16 +732,21 @@ pub(crate) fn write_response(
         head.push_str("Connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    // Head and body leave in a single write: split across two, the body
+    // can sit behind Nagle until the peer ACKs the head.
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&response.body);
+    stream.write_all(&wire)?;
     stream.flush()
 }
 
-/// Write one chunk of a `Transfer-Encoding: chunked` response.
+/// Write one chunk of a `Transfer-Encoding: chunked` response — size
+/// line, data and trailing CRLF in a single write.
 pub(crate) fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
+    let mut wire = format!("{:x}\r\n", data.len()).into_bytes();
+    wire.extend_from_slice(data);
+    wire.extend_from_slice(b"\r\n");
+    stream.write_all(&wire)?;
     stream.flush()
 }
 

@@ -84,6 +84,8 @@ pub struct ServiceConfig {
     pub graph_entries: usize,
     /// Terminal jobs retained for status/result queries; the oldest are
     /// evicted beyond this, so the job table cannot grow without bound.
+    /// The cap counts jobs, not bytes: the default of 256 holds about
+    /// 0.8 GB of chr1×0.01-sized layouts (103k nodes, ~3.3 MB each).
     pub max_finished_jobs: usize,
     /// Disk tier for the layout cache and the graph store: layouts are
     /// written through to this directory (`<key>.lay`), parsed graphs
@@ -112,7 +114,7 @@ impl Default for ServiceConfig {
             workers: 0,
             cache_entries: 64,
             graph_entries: 16,
-            max_finished_jobs: 1024,
+            max_finished_jobs: 256,
             cache_dir: None,
             cache_max_bytes: 0,
             cache_ttl: None,

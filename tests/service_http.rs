@@ -253,14 +253,16 @@ fn read_response(stream: &mut TcpStream) -> (u16, String, Vec<u8>) {
     (status, head, body)
 }
 
-/// Write one request on an existing connection (keep-alive by default).
+/// Write one request on an existing connection (keep-alive by default),
+/// head and body in a single write.
 fn send_request(stream: &mut TcpStream, method: &str, path: &str, extra: &str, body: &[u8]) {
-    let head = format!(
+    let mut wire = format!(
         "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n{extra}\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body).unwrap();
+    )
+    .into_bytes();
+    wire.extend_from_slice(body);
+    stream.write_all(&wire).unwrap();
     stream.flush().unwrap();
 }
 
@@ -341,6 +343,50 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).expect("EOF after close");
     assert!(rest.is_empty(), "nothing follows a closed response");
+
+    drop(stream);
+    handle.stop();
+}
+
+/// Sequential keep-alive requests must not wait on the client's delayed
+/// ACK. A server that writes a response's head and body separately
+/// without `TCP_NODELAY` has Nagle hold the body until the head is
+/// ACKed, about 40 ms per request on Linux; a sub-millisecond upload
+/// should round-trip far faster. The median keeps one descheduled
+/// request from failing the test.
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    let service = small_service(1);
+    let handle = spawn_server(&service, HttpConfig::default());
+    // Each request leaves in one write with Nagle off, so only the
+    // server's writes can stall a round trip.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+
+    let gfa = b"S\t1\tAC\nS\t2\tGT\nL\t1\t+\t2\t+\t0M\nP\tp\t1+,2+\t*\n";
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            send_request(&mut stream, "POST", "/v1/graphs", "", gfa);
+            let (status, _, body) = read_response(&mut stream);
+            let elapsed = t0.elapsed();
+            assert!(
+                status == 200 || status == 201,
+                "{status}: {}",
+                body_text(&body)
+            );
+            elapsed
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median keep-alive round trip {median:?} (all: {round_trips:?})"
+    );
 
     drop(stream);
     handle.stop();
